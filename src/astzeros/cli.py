@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands mirror the processing pipeline: ``transform`` (signal file to
-transform CSV), ``zeros`` (transform CSV to zero list), ``gaf`` (sampled
-analytic-function zeros), ``stats`` (zero list to pair-correlation table),
-and ``experiment`` (full Monte Carlo run).  Failures print one
+binary transform file), ``zeros`` (transform file to zero list CSV),
+``gaf`` (sampled analytic-function zeros), ``stats`` (zero list to
+pair-correlation table), and ``experiment`` (full Monte Carlo run).  The
+transform file is the uncompressed ``.npz`` of ``io.write_tfmatrix``,
+written to the ``--out`` path exactly as given.  Failures print one
 machine-readable ``error: ...`` line on stderr and exit nonzero.
 """
 
@@ -17,7 +19,8 @@ import numpy as np
 from . import io as zio
 from .experiment import ExperimentConfig, run_experiment, write_bundle
 from .gaf import gaf_zeros, sample_gaf, truncation_order
-from .spatial import ObservationWindow, classify_inner, estimate_pair_correlation
+from .spatial import (ObservationWindow, classify_inner,
+                      estimate_pair_correlation, radial_bins)
 from .transform import LogFreqGrid, dast_direct, dast_spectral
 from .windows import WindowParams
 from .zeros import GuardSpec, detect_zeros
@@ -33,7 +36,6 @@ def _add_experiment_flags(sub, defaults: ExperimentConfig):
 
 
 def _coerce(name, value):
-    field = {f.name: f for f in dataclasses.fields(ExperimentConfig)}[name]
     kind = type(getattr(ExperimentConfig(), name))
     if kind is bool:
         if isinstance(value, bool):
@@ -80,12 +82,12 @@ def cmd_transform(args):
         S = dast_direct(sig, fg, p)
     else:
         S = dast_spectral(sig, fg, p)
-    zio.write_tfmatrix_csv(S, args.out)
+    zio.write_tfmatrix(S, args.out)
     print(f"wrote {args.out}")
 
 
 def cmd_zeros(args):
-    S = zio.read_tfmatrix_csv(args.infile)
+    S = zio.read_tfmatrix(args.infile)
     tol = None if args.no_time_guard else args.envelope_tol
     guard = GuardSpec(border_cells=args.border_cells,
                       freq_channels=args.guard_channels, envelope_tol=tol)
@@ -111,10 +113,9 @@ def cmd_gaf(args):
 def cmd_stats(args):
     w = zio.read_zeros_csv(args.infile)
     win = ObservationWindow.from_disk(args.window_radius)
-    r_guard = args.r_guard if args.r_guard > 0 else args.r_max + args.h / 2
+    r_bins, r_guard = radial_bins(args.r_min, args.r_max, args.r_step,
+                                  args.h, args.r_guard)
     inner = classify_inner(w, win, r_guard)
-    n = int(np.floor((args.r_max - args.r_min) / args.r_step + 0.5)) + 1
-    r_bins = args.r_min + args.r_step * np.arange(n)
     st = estimate_pair_correlation(w, inner, r_bins, args.h,
                                    float(args.alpha))
     zio.write_radial_stats_csv(st, args.out, meta={"alpha": args.alpha})
@@ -140,7 +141,8 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    t = sub.add_parser("transform", help="signal file -> transform CSV")
+    t = sub.add_parser("transform",
+                       help="signal file -> binary transform file (.npz)")
     t.add_argument("--in", dest="infile", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--alpha", type=float, default=300.0)
@@ -151,7 +153,7 @@ def build_parser():
                    help="use the reference evaluator")
     t.set_defaults(func=cmd_transform)
 
-    z = sub.add_parser("zeros", help="transform CSV -> zero list CSV")
+    z = sub.add_parser("zeros", help="binary transform file -> zero list CSV")
     z.add_argument("--in", dest="infile", required=True)
     z.add_argument("--out", required=True)
     z.add_argument("--border-cells", type=int, default=1)

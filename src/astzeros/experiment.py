@@ -24,7 +24,8 @@ import numpy as np
 from .gaf import expected_count, theoretical_pair_correlation
 from .geometry import cayley_to_disk, pseudo_hyperbolic_distance
 from .io import _fmt, write_zeros_csv
-from .spatial import ObservationWindow, classify_inner, estimate_pair_correlation
+from .spatial import (ObservationWindow, classify_inner,
+                      estimate_pair_correlation, radial_bins)
 from .transform import (
     LogFreqGrid,
     TimeGrid,
@@ -71,13 +72,16 @@ class ExperimentConfig:
         """Signal period in seconds (the circular-transform period)."""
         return self.n_samples / self.fs
 
+    def _radial_bins(self):
+        return radial_bins(self.r_min, self.r_max, self.r_step, self.h,
+                           self.r_guard)
+
     @property
     def guard_radius(self) -> float:
-        return self.r_guard if self.r_guard > 0 else self.r_max + self.h / 2
+        return self._radial_bins()[1]
 
     def r_bins(self) -> np.ndarray:
-        n = int(np.floor((self.r_max - self.r_min) / self.r_step + 0.5)) + 1
-        return self.r_min + self.r_step * np.arange(n)
+        return self._radial_bins()[0]
 
     def config_hash(self) -> str:
         text = "\n".join(

@@ -1,13 +1,17 @@
-"""CSV and binary readers/writers for signals, transform matrices, zero
-sets, and spatial statistics.
+"""Readers and writers for signals, transform matrices, zero sets, and
+spatial statistics.
 
-All text output is written with explicit repr-precision floats and fixed
-key ordering so that identical inputs produce byte-identical files.
+Transform matrices are binary only: an uncompressed ``.npz`` with the
+complex128 ``values`` and the grid, window and scale metadata as 0-d
+arrays.  Signals are CSV or packed binary; zero sets and statistics are
+CSV.  All text output is written with explicit repr-precision floats and
+fixed key ordering so that identical inputs produce byte-identical files.
 Metadata rides in ``# key=value`` comment lines ahead of the column
 header.
 """
 
 import struct
+import zipfile
 
 import numpy as np
 
@@ -85,45 +89,42 @@ def read_signal_binary(path) -> DiscreteSignal:
     return DiscreteSignal(inter[0::2] + 1j * inter[1::2], grid)
 
 
-def write_tfmatrix_csv(S: TFMatrix, path):
-    x = S.time_grid.nodes()
-    xi = S.freq_grid.channels()
-    with open(path, "w") as f:
-        _write_meta(f, {
-            "beta": _fmt(S.params.beta),
-            "convention": S.convention,
-            "log_scale": _fmt(S.log_scale),
-            "x_min": _fmt(S.time_grid.x_min),
-            "x_max": _fmt(S.time_grid.x_max),
-            "n_samples": S.time_grid.n_samples,
-            "xi_min": _fmt(S.freq_grid.xi_min),
-            "xi_max": _fmt(S.freq_grid.xi_max),
-            "n_channels": S.freq_grid.n_channels,
-        })
-        f.write("j,m,x,xi,re,im,abs\n")
-        for m in range(S.freq_grid.n_channels):
-            col = S.values[:, m]
-            for j in range(S.time_grid.n_samples):
-                v = col[j]
-                f.write(
-                    f"{j},{m},{_fmt(x[j])},{_fmt(xi[m])},"
-                    f"{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}\n"
-                )
+def write_tfmatrix(S: TFMatrix, path):
+    """Uncompressed ``.npz``: ``values`` (complex128, as in memory) and the
+    grid, window and scale metadata as 0-d arrays.  Written through an
+    open handle, so ``path`` is used as given: ``np.savez`` appends
+    ``.npz`` to a file name that lacks it."""
+    with open(path, "wb") as f:
+        np.savez(
+            f, values=S.values,
+            beta=S.params.beta, convention=S.convention,
+            log_scale=S.log_scale,
+            x_min=S.time_grid.x_min, x_max=S.time_grid.x_max,
+            n_samples=S.time_grid.n_samples,
+            xi_min=S.freq_grid.xi_min, xi_max=S.freq_grid.xi_max,
+            n_channels=S.freq_grid.n_channels,
+        )
 
 
-def read_tfmatrix_csv(path) -> TFMatrix:
-    meta = _read_meta(path)
-    tg = TimeGrid(float(meta["x_min"]), float(meta["x_max"]),
-                  int(meta["n_samples"]))
-    fg = LogFreqGrid(float(meta["xi_min"]), float(meta["xi_max"]),
-                     int(meta["n_channels"]))
-    data = np.loadtxt(path, delimiter=",", skiprows=len(meta) + 1, ndmin=2)
-    vals = np.zeros((tg.n_samples, fg.n_channels), dtype=complex)
-    j = data[:, 0].astype(int)
-    m = data[:, 1].astype(int)
-    vals[j, m] = data[:, 4] + 1j * data[:, 5]
-    return TFMatrix(vals, tg, fg, WindowParams(float(meta["beta"])),
-                    meta["convention"], float(meta["log_scale"]))
+def read_tfmatrix(path) -> TFMatrix:
+    """Inverse of ``write_tfmatrix``.  Anything else (a text file, a
+    truncated archive, a missing or malformed field) raises
+    ``ValueError``."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            tg = TimeGrid(float(z["x_min"]), float(z["x_max"]),
+                          int(z["n_samples"]))
+            fg = LogFreqGrid(float(z["xi_min"]), float(z["xi_max"]),
+                             int(z["n_channels"]))
+            S = TFMatrix(z["values"], tg, fg, WindowParams(float(z["beta"])),
+                         str(z["convention"]), float(z["log_scale"]))
+    except (ValueError, TypeError, KeyError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise ValueError(f"not a transform file: {exc!r}") from exc
+    if S.values.dtype != np.complex128:
+        raise ValueError(f"transform values must be complex128, "
+                         f"not {S.values.dtype}")
+    return S
 
 
 def write_zeros_csv(path, x, xi, w, j=None, m=None, meta=None):
@@ -147,7 +148,6 @@ def write_zeroset_csv(zs: ZeroSet, path, meta=None):
 
 def read_zeros_csv(path) -> np.ndarray:
     """Disk points only (the last two columns); grid columns may be empty."""
-    meta = _read_meta(path)
     w = []
     with open(path) as f:
         rows = [ln for ln in f if not ln.startswith("#")]
@@ -164,12 +164,3 @@ def write_radial_stats_csv(stats, path, meta=None):
         for i, r in enumerate(stats.r_bins):
             f.write(f"{_fmt(r)},{_fmt(stats.g_values[i])},"
                     f"{int(stats.n_pairs[i])},{stats.n_centers}\n")
-
-
-def write_intensity_csv(path, r_prime, count, area, rho_hat, meta=None):
-    with open(path, "w") as f:
-        _write_meta(f, meta or {})
-        f.write("r_prime,count,area,rho_hat\n")
-        for i in range(len(r_prime)):
-            f.write(f"{_fmt(r_prime[i])},{_fmt(count[i])},"
-                    f"{_fmt(area[i])},{_fmt(rho_hat[i])}\n")

@@ -81,6 +81,17 @@ class RadialStats:
         object.__setattr__(self, "r_bins", r)
 
 
+def radial_bins(r_min: float, r_max: float, r_step: float, h: float,
+                r_guard: float):
+    """Bin radii r_min, r_min + r_step, ... through r_max (the step count
+    rounded to the nearest integer), and the inner-center guard radius:
+    ``r_guard`` when positive, else r_max + h/2, the reach of the last
+    bin's ring."""
+    n = int(np.floor((r_max - r_min) / r_step + 0.5)) + 1
+    guard = r_guard if r_guard > 0 else r_max + h / 2
+    return r_min + r_step * np.arange(n), guard
+
+
 def classify_inner(points, win: ObservationWindow, r_guard: float):
     """Mask of points whose minimum pseudo-hyperbolic distance to the
     densified window boundary exceeds r_guard."""

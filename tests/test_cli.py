@@ -16,7 +16,7 @@ def signal_file(tmp_path):
 
 
 def test_transform_zeros_stats_pipeline(tmp_path, signal_file):
-    tf = tmp_path / "tf.csv"
+    tf = tmp_path / "tf.npz"
     rc = main(["transform", "--in", str(signal_file), "--out", str(tf),
                "--alpha", "30", "--xi-min", "0.25", "--xi-max", "4",
                "--channels", "48"])
@@ -28,6 +28,32 @@ def test_transform_zeros_stats_pipeline(tmp_path, signal_file):
     assert rc == 0
     w = zio.read_zeros_csv(zcsv)
     assert len(w) > 0 and np.all(np.abs(w) < 1)
+
+
+def test_transform_out_path_is_used_as_given(tmp_path, signal_file):
+    out = tmp_path / "out"
+    out.mkdir()
+    tf = out / "tf"
+    rc = main(["transform", "--in", str(signal_file), "--out", str(tf),
+               "--alpha", "30", "--xi-min", "0.25", "--xi-max", "4",
+               "--channels", "16"])
+    assert rc == 0
+    assert [f.name for f in out.iterdir()] == ["tf"]
+    rc = main(["zeros", "--in", str(tf), "--out", str(out / "zeros"),
+               "--no-time-guard"])
+    assert rc == 0 and (out / "zeros").exists()
+
+
+def test_zeros_on_a_non_transform_file_is_machine_readable(tmp_path, capsys):
+    bad = tmp_path / "tf.csv"
+    bad.write_text("# beta=14.5\nj,m,x,xi,re,im,abs\n"
+                   "0,0,0.0,1.0,1.0,0.0,1.0\n")
+    rc = main(["zeros", "--in", str(bad), "--out", str(tmp_path / "z.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "z.csv").exists()
 
 
 def test_gaf_and_stats_commands(tmp_path):
@@ -51,7 +77,7 @@ def test_binary_signal_input(tmp_path):
     sig = sample_white_noise(256, 5, grid=tg)
     path = tmp_path / "sig.bin"
     zio.write_signal_binary(sig, path)
-    tf = tmp_path / "tf.csv"
+    tf = tmp_path / "tf.npz"
     rc = main(["transform", "--in", str(path), "--out", str(tf),
                "--alpha", "30", "--xi-min", "0.25", "--xi-max", "4",
                "--channels", "32"])
@@ -87,7 +113,7 @@ def test_load_config_overrides_and_errors(tmp_path):
 
 def test_failure_is_machine_readable(tmp_path, capsys):
     rc = main(["transform", "--in", str(tmp_path / "missing.csv"),
-               "--out", str(tmp_path / "tf.csv"), "--alpha", "30"])
+               "--out", str(tmp_path / "tf.npz"), "--alpha", "30"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")

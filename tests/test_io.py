@@ -49,19 +49,59 @@ def test_signal_binary_rejects_garbage(tmp_path):
         zio.read_signal_binary(path)
 
 
-def test_tfmatrix_roundtrip(tmp_path):
-    sig = _signal()
-    fg = LogFreqGrid(0.5, 2.0, 6)
-    S = dast_spectral(sig, fg, WindowParams(5.0))
-    path = tmp_path / "tf.csv"
-    zio.write_tfmatrix_csv(S, path)
-    back = zio.read_tfmatrix_csv(path)
+def _assert_tfmatrix_roundtrip(S, path):
+    zio.write_tfmatrix(S, path)
+    back = zio.read_tfmatrix(path)
     assert back.time_grid == S.time_grid
     assert back.freq_grid == S.freq_grid
     assert back.params == S.params
     assert back.convention == S.convention
     assert back.log_scale == S.log_scale
-    assert np.array_equal(back.values, S.values)
+    assert back.values.dtype == np.complex128
+    assert back.values.tobytes() == S.values.tobytes()
+
+
+def test_tfmatrix_roundtrip(tmp_path):
+    sig = _signal()
+    fg = LogFreqGrid(0.5, 2.0, 6)
+    S = dast_spectral(sig, fg, WindowParams(5.0))
+    _assert_tfmatrix_roundtrip(S, tmp_path / "tf.npz")
+
+
+def test_tfmatrix_roundtrip_keeps_overflow_rescale(tmp_path):
+    # at alpha=300 the channel multipliers overflow without the shared
+    # amplitude rescale, so the file must carry log_scale exactly
+    tg = TimeGrid.from_sampling(0.0, 64.0, 64)
+    sig = sample_white_noise(64, 1, grid=tg)
+    S = dast_spectral(sig, LogFreqGrid(2.0, 16.0, 6),
+                      WindowParams.from_alpha(300.0))
+    assert S.log_scale > 0 and np.any(S.values != 0)
+    _assert_tfmatrix_roundtrip(S, tmp_path / "tf.npz")
+
+
+def test_tfmatrix_reader_rejects_other_files(tmp_path):
+    sig = _signal()
+    S = dast_spectral(sig, LogFreqGrid(0.5, 2.0, 6), WindowParams(5.0))
+    good = tmp_path / "tf.npz"
+    zio.write_tfmatrix(S, good)
+    payload = good.read_bytes()
+    bad = tmp_path / "bad"
+    csv_transform = ("# beta=5.0\n# convention=physical\n"
+                     "j,m,x,xi,re,im,abs\n0,0,0.0,0.5,1.0,0.0,1.0\n")
+    for content in (csv_transform.encode(),
+                    bytes(range(256)) * 4,
+                    b"",
+                    payload[:len(payload) // 2],
+                    payload[:-1]):
+        bad.write_bytes(content)
+        with pytest.raises(ValueError):
+            zio.read_tfmatrix(bad)
+    np.save(bad.with_suffix(".npy"), S.values)  # a bare array, no metadata
+    with pytest.raises(ValueError):
+        zio.read_tfmatrix(bad.with_suffix(".npy"))
+    np.savez(bad.with_suffix(".npz"), values=S.values)  # metadata missing
+    with pytest.raises(ValueError):
+        zio.read_tfmatrix(bad.with_suffix(".npz"))
 
 
 def test_zeroset_csv_roundtrip(tmp_path):
