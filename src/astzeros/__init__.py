@@ -31,11 +31,10 @@ from .transform import (
     dast_direct,
     dast_spectral,
     extract_analytic_part,
-    make_grids,
     multiplier_cutoff,
     sample_white_noise,
 )
-from .zeros import GuardSpec, ZeroSet, detect_zeros, map_zeros_to_disk, time_guard_margin
+from .zeros import GuardSpec, ZeroSet, detect_zeros, time_guard_margin
 from .gaf import (
     GafSample,
     expected_count,
@@ -87,13 +86,11 @@ __all__ = [
     "dast_direct",
     "dast_spectral",
     "extract_analytic_part",
-    "make_grids",
     "multiplier_cutoff",
     "sample_white_noise",
     "GuardSpec",
     "ZeroSet",
     "detect_zeros",
-    "map_zeros_to_disk",
     "time_guard_margin",
     "GafSample",
     "expected_count",

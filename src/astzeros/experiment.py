@@ -143,13 +143,10 @@ def _realization(cfg: ExperimentConfig, index: int) -> dict:
 
     period = cfg.duration
     z_half = zs.x + 1j / zs.xi
-    base = np.atleast_1d(cayley_to_disk(z_half)) if len(zs) else \
-        np.zeros(0, complex)
-    shifted = [base]
-    for s in (-period, period):
-        shifted.append(np.atleast_1d(cayley_to_disk(z_half + s))
-                       if len(zs) else np.zeros(0, complex))
-    points = np.concatenate(shifted)
+    points = cayley_to_disk(
+        np.concatenate([z_half, z_half - period, z_half + period])
+    )
+    base = points[: len(zs)]
     inner = np.zeros(len(points), dtype=bool)
     if len(zs):
         scale = 1.0 / zs.xi

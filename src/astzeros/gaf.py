@@ -64,10 +64,7 @@ def truncation_order(alpha: float, r_max: float, rel_tol: float = 1e-8) -> int:
 def sample_gaf(alpha: float, truncation: int, seed) -> GafSample:
     if alpha <= 0 or truncation < 1:
         raise ValueError("need alpha > 0 and truncation >= 1")
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n = np.arange(truncation)
     zeta = (rng.standard_normal(truncation)
             + 1j * rng.standard_normal(truncation)) / np.sqrt(2.0)

@@ -7,7 +7,9 @@ obtained by numerical Fourier synthesis.  ``dast_spectral`` is the fast
 path: per channel, a Fourier multiplier supported on positive frequencies
 is applied via the FFT.  Under the default physical-units convention the
 two agree to near machine precision and both reproduce the closed-form
-transform of the orthogonal basis family.
+transform of the orthogonal basis family.  The multipliers and modulations
+of the last (grids, beta, log_scale) configuration are cached: one plan of
+n*M*16 + ceil(n/2)*M*8 bytes for n samples and M channels.
 
 Amplitude bookkeeping is done in the log domain.  A per-matrix
 ``log_scale`` L is chosen from the channel range so that stored values are
@@ -15,7 +17,8 @@ exp(-L) times the physical transform; for moderate window parameters L is
 zero and values are physical.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -27,6 +30,7 @@ from .windows import TWO_PI, WindowParams
 
 PHYSICAL = "physical"
 LITERAL = "literal"
+_BLOCK = 128  # channels per inverse FFT batch
 
 
 @dataclass(frozen=True)
@@ -117,22 +121,12 @@ class TFMatrix:
         object.__setattr__(self, "values", v)
 
 
-def make_grids(x_min, x_max, n_samples, xi_min, xi_max, n_channels):
-    return (
-        TimeGrid(x_min, x_max, n_samples),
-        LogFreqGrid(xi_min, xi_max, n_channels),
-    )
-
-
 def sample_white_noise(n_samples, seed, kind="complex", grid=None):
     """Standard Gaussian noise; the complex kind has E|z|^2 = 1.
 
     ``seed`` may be an integer, a SeedSequence, or a Generator.
     """
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if kind == "complex":
         z = (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples))
         z /= np.sqrt(2.0)
@@ -272,42 +266,58 @@ def dast_direct(y: DiscreteSignal, fg: LogFreqGrid, p: WindowParams,
     return TFMatrix(out, y.grid, fg, p, convention, log_scale)
 
 
-def dast_spectral(y: DiscreteSignal, fg: LogFreqGrid, p: WindowParams,
-                  log_scale: float = None, block=128) -> TFMatrix:
-    """Fast evaluator: per channel, multiply positive-frequency bins of the
-    signal spectrum by nu^beta e^(-2 pi nu / xi), zero the DC, Nyquist and
-    negative bins, inverse-transform, and modulate by
-    sqrt(xi) e^(-2 pi i xi x)."""
-    n = y.grid.n_samples
-    dx = y.grid.delta_x
-    x = y.grid.nodes()
+@lru_cache(maxsize=1)
+def _spectral_plan(grid: TimeGrid, fg: LogFreqGrid, beta: float,
+                   log_scale: float):
+    """Per block of channels: the slice, the multiplier on bins 0..ceil(n/2)-1
+    (the zero Nyquist and negative bins are left out) and the modulation.
+    Read-only, since every call with this configuration shares them."""
+    n = grid.n_samples
+    half = (n + 1) // 2
+    x = grid.nodes()
     xis = fg.channels()
-    if log_scale is None:
-        log_scale = default_log_scale(fg, p)
-    spec = fft(y.samples)
-    nu = np.fft.fftfreq(n, d=dx)
+    nu = np.fft.fftfreq(n, d=grid.delta_x)[:half]
     pos = nu > 0
-    if n % 2 == 0:
-        pos[n // 2] = False  # Nyquist bin carries ambiguous sign
-    log_nu = np.zeros(n)
+    log_nu = np.zeros(half)
     log_nu[pos] = np.log(nu[pos])
-    out = np.empty((n, fg.n_channels), dtype=complex)
-    for start in range(0, fg.n_channels, block):
-        sl = slice(start, min(start + block, fg.n_channels))
+    plan = []
+    for start in range(0, fg.n_channels, _BLOCK):
+        sl = slice(start, min(start + _BLOCK, fg.n_channels))
         xi_b = xis[sl]
         log_mult = (
-            p.beta * log_nu[:, None]
+            beta * log_nu[:, None]
             - TWO_PI * nu[:, None] / xi_b[None, :]
             - log_scale
         )
         mult = np.zeros_like(log_mult)
         ok = pos[:, None] & (log_mult > -745.0)
         mult[ok] = np.exp(log_mult[ok])
-        cols = ifft(spec[:, None] * mult, axis=0)
         phase = np.sqrt(xi_b)[None, :] * np.exp(
             -2j * np.pi * np.outer(x, xi_b)
         )
-        out[:, sl] = cols * phase
+        mult.setflags(write=False)
+        phase.setflags(write=False)
+        plan.append((sl, mult, phase))
+    return tuple(plan)
+
+
+def dast_spectral(y: DiscreteSignal, fg: LogFreqGrid, p: WindowParams,
+                  log_scale: float = None) -> TFMatrix:
+    """Fast evaluator: per channel, multiply positive-frequency bins of the
+    signal spectrum by nu^beta e^(-2 pi nu / xi), zero the DC, Nyquist and
+    negative bins, inverse-transform, and modulate by
+    sqrt(xi) e^(-2 pi i xi x).  These signal-independent factors are cached
+    for the last configuration: n*M*16 + ceil(n/2)*M*8 bytes for n samples
+    and M channels (12 MB at 2000x300)."""
+    n = y.grid.n_samples
+    if log_scale is None:
+        log_scale = default_log_scale(fg, p)
+    plan = _spectral_plan(y.grid, fg, p.beta, log_scale)
+    spec = fft(y.samples)[:(n + 1) // 2, None]
+    out = np.empty((n, fg.n_channels), dtype=complex)
+    for sl, mult, phase in plan:
+        cols = ifft(spec * mult, n=n, axis=0)
+        np.multiply(cols, phase, out=out[:, sl])
     return TFMatrix(out, y.grid, fg, p, PHYSICAL, log_scale)
 
 

@@ -6,7 +6,7 @@ number of extreme frequency channels, and time columns where a channel's
 window support reaches past the signal edges.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class ZeroSet:
     x: np.ndarray
     xi: np.ndarray
     w: np.ndarray
-    source: TFMatrix = field(repr=False, default=None, compare=False)
 
     def __len__(self):
         return len(self.j)
@@ -110,10 +109,4 @@ def detect_zeros(S: TFMatrix, guard: GuardSpec = GuardSpec()) -> ZeroSet:
     zx = x[jj]
     zxi = xis[mm]
     w = cayley_to_disk(zx + 1j / zxi)
-    return ZeroSet(jj, mm, zx, zxi, np.atleast_1d(w), S)
-
-
-def map_zeros_to_disk(zs: ZeroSet) -> ZeroSet:
-    """Recompute disk coordinates from (x, xi); idempotent."""
-    w = np.atleast_1d(cayley_to_disk(zs.x + 1j / zs.xi))
-    return ZeroSet(zs.j, zs.m, zs.x, zs.xi, w, zs.source)
+    return ZeroSet(jj, mm, zx, zxi, np.atleast_1d(w))

@@ -5,9 +5,11 @@ check: closed-form expressions, inverse-CDF samplers, and Mobius maps.
 """
 
 import numpy as np
+from scipy.fft import fft, ifft
 from scipy.special import gammaln
 
-from astzeros import DiscreteSignal, TimeGrid, WindowParams, basis_ft
+from astzeros import (DiscreteSignal, LogFreqGrid, TimeGrid, WindowParams,
+                      basis_ft)
 
 
 def closed_form_psi(u, p: WindowParams):
@@ -37,6 +39,32 @@ def synth_basis_signal(n: int, grid: TimeGrid, p: WindowParams) -> DiscreteSigna
     samples = np.fft.ifft(F) * N * dnu
     return DiscreteSignal(samples, grid)
 
+
+
+def dast_spectral_reference(y: DiscreteSignal, fg: LogFreqGrid,
+                            p: WindowParams, log_scale: float) -> np.ndarray:
+    """Spectral transform values rebuilt from scratch on every call, all
+    channels at once: the full n-row multiplier nu^beta e^(-2 pi nu / xi)
+    e^(-log_scale) with the DC, Nyquist and negative bins zeroed, one
+    inverse FFT, then the sqrt(xi) e^(-2 pi i xi x) modulation."""
+    n = y.grid.n_samples
+    x = y.grid.nodes()
+    xis = fg.channels()
+    spec = fft(y.samples)
+    nu = np.fft.fftfreq(n, d=y.grid.delta_x)
+    pos = nu > 0
+    if n % 2 == 0:
+        pos[n // 2] = False
+    log_nu = np.zeros(n)
+    log_nu[pos] = np.log(nu[pos])
+    log_mult = (p.beta * log_nu[:, None]
+                - 2 * np.pi * nu[:, None] / xis[None, :] - log_scale)
+    mult = np.zeros_like(log_mult)
+    ok = pos[:, None] & (log_mult > -745.0)
+    mult[ok] = np.exp(log_mult[ok])
+    cols = ifft(spec[:, None] * mult, axis=0)
+    phase = np.sqrt(xis)[None, :] * np.exp(-2j * np.pi * np.outer(x, xis))
+    return cols * phase
 
 def sample_poisson_disk(alpha: float, radius: float, rng) -> np.ndarray:
     """Poisson point process on the pseudo-hyperbolic disk of the given

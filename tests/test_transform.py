@@ -12,12 +12,11 @@ from astzeros import (
     dast_direct,
     dast_spectral,
     extract_analytic_part,
-    make_grids,
     multiplier_cutoff,
     sample_white_noise,
 )
-from astzeros.transform import default_log_scale
-from helpers import closed_form_psi
+from astzeros.transform import _spectral_plan, default_log_scale
+from helpers import closed_form_psi, dast_spectral_reference
 
 
 def test_time_grid_properties():
@@ -46,8 +45,8 @@ def test_freq_grid_is_log2_spaced():
         LogFreqGrid(-1.0, 2.0, 4)
 
 
-def test_make_grids_and_signal_validation():
-    tg, fg = make_grids(0.0, 1.0, 16, 0.5, 2.0, 4)
+def test_grids_and_signal_validation():
+    tg, fg = TimeGrid(0.0, 1.0, 16), LogFreqGrid(0.5, 2.0, 4)
     assert tg.n_samples == 16 and fg.n_channels == 4
     with pytest.raises(ValueError):
         DiscreteSignal(np.zeros(5), tg)
@@ -128,6 +127,77 @@ def test_spectral_linearity_and_zero_input():
     assert np.allclose(S.values, 2.0 * S1.values - 1j * S2.values, rtol=1e-12)
     S0 = dast_spectral(DiscreteSignal(np.zeros(64), tg), fg, p)
     assert np.all(S0.values == 0)
+
+
+# (n, fs, M, xi_min, xi_max, alpha): even and odd n, M not a multiple of
+# the 128-channel block, and alpha=300 configs, whose default log_scale is
+# nonzero
+PLAN_CASES = [
+    (512, 64.0, 64, 0.25, 8.0, 50.0),
+    (513, 64.0, 200, 0.25, 8.0, 50.0),
+    (2001, 2000.0, 7, 0.5, 8.0, 300.0),
+    (16, 4.0, 8, 0.5, 2.0, 20.0),
+    (1024, 256.0, 130, 2.0 ** -6, 16.0, 300.0),
+]
+
+
+@pytest.mark.parametrize("n, fs, m, xi_min, xi_max, alpha", PLAN_CASES)
+def test_spectral_plan_matches_per_call_formula(n, fs, m, xi_min, xi_max,
+                                                alpha):
+    tg = TimeGrid.from_sampling(0.0, fs, n)
+    fg = LogFreqGrid(xi_min, xi_max, m)
+    p = WindowParams.from_alpha(alpha)
+    y = sample_white_noise(n, 6, grid=tg)
+    S = dast_spectral(y, fg, p)
+    log_scale = default_log_scale(fg, p)
+    assert S.log_scale == log_scale
+    assert np.array_equal(S.values,
+                          dast_spectral_reference(y, fg, p, log_scale))
+
+
+def test_spectral_plan_is_not_stale_across_configs():
+    tg = TimeGrid.from_sampling(0.0, 64.0, 256)
+    fg_a = LogFreqGrid(0.25, 8.0, 40)
+    fg_b = LogFreqGrid(0.25, 8.0, 41)
+    p = WindowParams.from_alpha(50.0)
+    y = sample_white_noise(256, 2, grid=tg)
+    first = dast_spectral(y, fg_a, p).values
+    other = dast_spectral(y, fg_b, p).values
+    again = dast_spectral(y, fg_a, p).values
+    assert other.shape == (256, 41)
+    assert np.array_equal(again, first)
+    # a different time grid or window with the same shapes
+    shifted = TimeGrid.from_sampling(1.0, 64.0, 256)
+    y_s = DiscreteSignal(y.samples, shifted)
+    assert not np.array_equal(dast_spectral(y_s, fg_a, p).values, first)
+    assert not np.array_equal(
+        dast_spectral(y, fg_a, WindowParams.from_alpha(60.0)).values, first)
+    assert np.array_equal(dast_spectral(y, fg_a, p).values, first)
+
+
+def test_spectral_plan_is_read_only():
+    tg = TimeGrid.from_sampling(0.0, 16.0, 64)
+    fg = LogFreqGrid(0.5, 2.0, 6)
+    plan = _spectral_plan(tg, fg, 5.0, 0.0)
+    for _, mult, phase in plan:
+        with pytest.raises(ValueError):
+            mult[1, 0] = 0.0
+        with pytest.raises(ValueError):
+            phase[0, 0] = 0.0
+
+
+def test_explicit_log_scale_gets_its_own_plan():
+    tg = TimeGrid.from_sampling(0.0, 16.0, 64)
+    fg = LogFreqGrid(0.5, 2.0, 6)
+    p = WindowParams(5.0)
+    y = sample_white_noise(64, 8, grid=tg)
+    S0 = dast_spectral(y, fg, p)
+    assert S0.log_scale == 0.0
+    S3 = dast_spectral(y, fg, p, log_scale=3.0)
+    assert S3.log_scale == 3.0
+    assert np.array_equal(S3.values, dast_spectral_reference(y, fg, p, 3.0))
+    assert np.allclose(S3.values * np.exp(3.0), S0.values, rtol=1e-12)
+    assert not np.array_equal(S3.values, S0.values)
 
 
 def test_negative_frequency_tone_is_annihilated():
