@@ -11,6 +11,11 @@ around the period.
 Determinism: realization r uses the RNG stream SeedSequence([seed, r]);
 aggregation is a fold in realization-index order, so results are bitwise
 independent of the worker count.
+
+Faults stay local where they can: a realization with no inner center
+records n_centers = 0 and a NaN row of g, and is left out of the g
+summaries.  Any other error in a realization is re-raised naming its
+index and RNG stream.
 """
 
 import dataclasses
@@ -96,8 +101,8 @@ class ResultBundle:
     config: ExperimentConfig
     config_hash: str
     r_bins: np.ndarray
-    g_per_realization: np.ndarray  # (R, n_bins)
-    g_mean: np.ndarray
+    g_per_realization: np.ndarray  # (R, n_bins); NaN rows: no inner center
+    g_mean: np.ndarray  # g_mean, g_q05, g_q95: over rows with centers
     g_q05: np.ndarray
     g_q95: np.ndarray
     g_theory: np.ndarray
@@ -153,8 +158,12 @@ def _realization(cfg: ExperimentConfig, index: int) -> dict:
         inner_base = classify_inner(base, win, cfg.guard_radius) & \
             (scale <= y_cap)
         inner[: len(base)] = inner_base
-    st = estimate_pair_correlation(points, inner, cfg.r_bins(), cfg.h,
-                                   cfg.alpha)
+    if np.any(inner):
+        st = estimate_pair_correlation(points, inner, cfg.r_bins(), cfg.h,
+                                       cfg.alpha)
+        g, n_centers = st.g_values, st.n_centers
+    else:
+        g, n_centers = np.full(len(cfg.r_bins()), np.nan), 0
 
     # intensity: growing disks around a fixed in-window reference point
     y_ref = np.sqrt(y_lo * min(y_hi, y_cap))
@@ -171,8 +180,8 @@ def _realization(cfg: ExperimentConfig, index: int) -> dict:
 
     out = {
         "index": index,
-        "g": st.g_values,
-        "n_centers": st.n_centers,
+        "g": g,
+        "n_centers": n_centers,
         "zero_count": len(zs),
         "intensity_r": r_int,
         "intensity_counts": counts,
@@ -180,6 +189,18 @@ def _realization(cfg: ExperimentConfig, index: int) -> dict:
     if cfg.keep_zeros:
         out["zeros"] = (zs.x, zs.xi, base)
     return out
+
+
+def _run_realization(cfg: ExperimentConfig, index: int) -> dict:
+    """``_realization``, re-raising any error with the realization index
+    and its RNG stream."""
+    try:
+        return _realization(cfg, index)
+    except Exception as exc:
+        raise RuntimeError(
+            f"realization {index} (SeedSequence([{cfg.seed}, {index}])) "
+            f"failed: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def quantile_nearest_rank(values: np.ndarray, q: float, axis=0) -> np.ndarray:
@@ -196,18 +217,26 @@ def quantile_nearest_rank(values: np.ndarray, q: float, axis=0) -> np.ndarray:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ResultBundle:
     indices = range(cfg.realizations)
     if workers <= 1:
-        results = [_realization(cfg, i) for i in indices]
+        results = [_run_realization(cfg, i) for i in indices]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_realization, [cfg] * cfg.realizations,
-                                    indices))
+            results = list(pool.map(_run_realization,
+                                    [cfg] * cfg.realizations, indices))
     results.sort(key=lambda d: d["index"])
 
     r_bins = cfg.r_bins()
     g_all = np.array([d["g"] for d in results])
-    g_mean = np.mean(g_all, axis=0)
-    g_q05 = quantile_nearest_rank(g_all, 0.05)
-    g_q95 = quantile_nearest_rank(g_all, 0.95)
+    has_centers = np.array([d["n_centers"] > 0 for d in results])
+    if not np.any(has_centers):
+        raise ValueError(
+            f"no inner centers in any of the {cfg.realizations} "
+            f"realizations: the window is too small for the guard radius "
+            f"{cfg.guard_radius:g}"
+        )
+    g_ok = g_all[has_centers]
+    g_mean = np.mean(g_ok, axis=0)
+    g_q05 = quantile_nearest_rank(g_ok, 0.05)
+    g_q95 = quantile_nearest_rank(g_ok, 0.95)
     g_theory = theoretical_pair_correlation(cfg.alpha, r_bins)
 
     _, _, y_lo, y_hi, _ = _window_geometry(cfg)

@@ -122,26 +122,21 @@ def estimate_intensity(points, center, r_prime: float,
 
 
 def estimate_pair_correlation(points, inner_mask, r_bins, h: float,
-                              alpha: float,
-                              variant: str = "calibrated") -> RadialStats:
+                              alpha: float) -> RadialStats:
     """Edge-corrected pair correlation estimate.
 
     For each bin radius r, ordered pairs (z, w) with z an inner center,
-    w any other point, and |p(z, w) - r| < h/2 are counted.  The
-    ``calibrated`` variant divides by the number of centers and by the
-    expected Poisson pair count per center,
+    w any other point, and |p(z, w) - r| < h/2 are counted and divided by
+    the number of centers and by the expected Poisson pair count per
+    center,
 
         g_hat(r) = (1 - r^2)^2 / (2 alpha h r n_c) * pair_count(r),
 
     the constant fixed by intensity-times-ring-area under either metric
-    convention and validated against Poisson and analytic oracles.  The
-    ``literal`` variant uses (1 - r^2)^2 / (4 alpha h r) with no center
-    normalization, for diagnostic comparison only.
+    convention and validated against Poisson and analytic oracles.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    if variant not in ("calibrated", "literal"):
-        raise ValueError("unknown variant")
     points = np.asarray(points, dtype=complex)
     r_bins = np.asarray(r_bins, dtype=float)
     if np.any((r_bins <= h / 2) | (r_bins >= 1 - h / 2)):
@@ -160,8 +155,5 @@ def estimate_pair_correlation(points, inner_mask, r_bins, h: float,
     n_pairs = np.array(
         [np.count_nonzero(np.abs(d - r) < h / 2) for r in r_bins]
     )
-    if variant == "calibrated":
-        norm = (1.0 - r_bins ** 2) ** 2 / (2.0 * alpha * h * r_bins * n_c)
-    else:
-        norm = (1.0 - r_bins ** 2) ** 2 / (4.0 * alpha * h * r_bins)
+    norm = (1.0 - r_bins ** 2) ** 2 / (2.0 * alpha * h * r_bins * n_c)
     return RadialStats(r_bins, norm * n_pairs, n_pairs, h, n_c)

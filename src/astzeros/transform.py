@@ -9,7 +9,9 @@ is applied via the FFT.  Under the default physical-units convention the
 two agree to near machine precision and both reproduce the closed-form
 transform of the orthogonal basis family.  The multipliers and modulations
 of the last (grids, beta, log_scale) configuration are cached: one plan of
-n*M*16 + ceil(n/2)*M*8 bytes for n samples and M channels.
+n*M*16 + ceil(n/2)*M*8 bytes for n samples and M channels.  A call needs
+no buffer beyond its n*M*16-byte output, which holds each block's inverse
+FFT in place.
 
 Amplitude bookkeeping is done in the log domain.  A per-matrix
 ``log_scale`` L is chosen from the channel range so that stored values are
@@ -284,17 +286,18 @@ def _spectral_plan(grid: TimeGrid, fg: LogFreqGrid, beta: float,
     for start in range(0, fg.n_channels, _BLOCK):
         sl = slice(start, min(start + _BLOCK, fg.n_channels))
         xi_b = xis[sl]
-        log_mult = (
-            beta * log_nu[:, None]
-            - TWO_PI * nu[:, None] / xi_b[None, :]
-            - log_scale
-        )
+        # both factors are computed in place in the arrays the plan keeps:
+        # block-size temporaries would stay resident as free heap beside it
+        log_mult = TWO_PI * nu[:, None] / xi_b[None, :]
+        np.subtract(beta * log_nu[:, None], log_mult, out=log_mult)
+        log_mult -= log_scale
         mult = np.zeros_like(log_mult)
         ok = pos[:, None] & (log_mult > -745.0)
         mult[ok] = np.exp(log_mult[ok])
-        phase = np.sqrt(xi_b)[None, :] * np.exp(
-            -2j * np.pi * np.outer(x, xi_b)
-        )
+        phase = np.empty((n, len(xi_b)), dtype=complex)
+        np.multiply(-2j * np.pi, np.outer(x, xi_b), out=phase)
+        np.exp(phase, out=phase)
+        np.multiply(np.sqrt(xi_b)[None, :], phase, out=phase)
         mult.setflags(write=False)
         phase.setflags(write=False)
         plan.append((sl, mult, phase))
@@ -308,16 +311,28 @@ def dast_spectral(y: DiscreteSignal, fg: LogFreqGrid, p: WindowParams,
     negative bins, inverse-transform, and modulate by
     sqrt(xi) e^(-2 pi i xi x).  These signal-independent factors are cached
     for the last configuration: n*M*16 + ceil(n/2)*M*8 bytes for n samples
-    and M channels (12 MB at 2000x300)."""
+    and M channels (12 MB at 2000x300).
+
+    Per call the only array of that size is the n*M*16-byte output
+    (9.6 MB at 2000x300).  Each block of channels is filled, inverse
+    transformed and modulated in place inside its own columns of the
+    output, so no block buffer or padded copy is allocated."""
     n = y.grid.n_samples
+    half = (n + 1) // 2
     if log_scale is None:
         log_scale = default_log_scale(fg, p)
     plan = _spectral_plan(y.grid, fg, p.beta, log_scale)
-    spec = fft(y.samples)[:(n + 1) // 2, None]
+    spec = fft(y.samples)[:half, None]
     out = np.empty((n, fg.n_channels), dtype=complex)
+    out[half:] = 0
     for sl, mult, phase in plan:
-        cols = ifft(spec * mult, n=n, axis=0)
-        np.multiply(cols, phase, out=out[:, sl])
+        blk = out[:, sl]
+        np.multiply(spec, mult, out=blk[:half])
+        # scipy.fft transforms a complex input in place under overwrite_x
+        # (no padding asked for), so blk now holds the inverse FFT; a
+        # multiply reading the returned array would copy the block
+        ifft(blk, axis=0, overwrite_x=True)
+        np.multiply(blk, phase, out=blk)
     return TFMatrix(out, y.grid, fg, p, PHYSICAL, log_scale)
 
 

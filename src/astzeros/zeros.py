@@ -4,6 +4,14 @@ A grid cell is a zero when its modulus is strictly below the modulus at
 all eight neighbors.  Guard margins drop border cells, a configurable
 number of extreme frequency channels, and time columns where a channel's
 window support reaches past the signal edges.
+
+Detection runs in two passes.  A candidate pass keeps the cells whose
+modulus is strictly below both time neighbors in the same channel: two
+comparisons over the grid, which leave about 4% of the cells of white
+noise.  The exact 8-neighbor test on the per-channel rescaled
+log-modulus then runs on the candidates only.  Within a channel that
+test is monotone in the modulus, so it cannot pass a cell the candidate
+pass dropped, and the zero set equals the full-grid test's bit for bit.
 """
 
 from dataclasses import dataclass
@@ -62,48 +70,50 @@ def detect_zeros(S: TFMatrix, guard: GuardSpec = GuardSpec()) -> ZeroSet:
     n, n_ch = S.values.shape
     if n < 3 or n_ch < 3:
         raise ValueError("grid too small for neighbor comparison")
-    # For the physical convention the white-noise variance of a channel
-    # grows like xi^(alpha+1), a deterministic ~2^(alpha/2)-per-octave ramp
-    # that would swamp the cross-channel minimum test.  Dividing each
-    # channel by its standard-deviation scale is a positive per-channel
-    # rescaling: it moves no zero but makes moduli comparable between
-    # neighboring channels.  Comparisons are done on log-modulus so the
-    # rescaling never under- or overflows.
-    with np.errstate(divide="ignore"):
-        a = np.log(np.abs(S.values))
-    if S.convention == "physical":
-        alpha = 2.0 * S.params.beta + 1.0
-        a = a - 0.5 * (alpha + 1.0) * np.log(S.freq_grid.channels())[None, :]
-    is_min = np.ones((n - 2, n_ch - 2), dtype=bool)
-    center = a[1:-1, 1:-1]
-    for dj in (-1, 0, 1):
-        for dm in (-1, 0, 1):
-            if dj == 0 and dm == 0:
-                continue
-            is_min &= center < a[1 + dj:n - 1 + dj, 1 + dm:n_ch - 1 + dm]
-    mask = np.zeros((n, n_ch), dtype=bool)
-    mask[1:-1, 1:-1] = is_min
-
+    # Candidates: cells inside the border guard whose modulus is strictly
+    # below both time neighbors in the same channel.  The exact test below
+    # compares a monotone function of |S| within each channel, so every
+    # cell that passes it is a candidate.
     b = guard.border_cells
-    mask[:b, :] = False
-    mask[n - b:, :] = False
     g = max(b, guard.freq_channels)
-    mask[:, :g] = False
-    mask[:, n_ch - g:] = False
+    A = np.abs(S.values)
+    rows = A[b:n - b]
+    cand = (rows < A[b - 1:n - b - 1]) & (rows < A[b + 1:n - b + 1])
+    f = np.flatnonzero(cand) + b * n_ch
+    mm = f % n_ch
+    inside = (mm >= g) & (mm < n_ch - g)
+    f, mm = f[inside], mm[inside]
 
     x = S.time_grid.nodes()
     xis = S.freq_grid.channels()
     if guard.envelope_tol is not None:
-        for m in range(n_ch):
-            margin = time_guard_margin(
-                xis[m], S.params.beta, guard.envelope_tol
-            )
-            edge = (x < S.time_grid.x_min + margin) | (
-                x > S.time_grid.x_max - margin
-            )
-            mask[edge, m] = False
+        margin = time_guard_margin(xis, S.params.beta, guard.envelope_tol)
+        xj, mg = x[f // n_ch], margin[mm]
+        edge = (xj < S.time_grid.x_min + mg) | (xj > S.time_grid.x_max - mg)
+        f, mm = f[~edge], mm[~edge]
 
-    jj, mm = np.nonzero(mask)
+    # Exact test on the candidates: strictly below all eight neighbors in
+    # log-modulus, one neighbor at a time, dropping a candidate at its
+    # first failure.  For the physical convention the white-noise variance
+    # of a channel grows like xi^(alpha+1), a deterministic
+    # ~2^(alpha/2)-per-octave ramp that would swamp the cross-channel
+    # comparison.  Dividing each channel by its standard-deviation scale is
+    # a positive per-channel rescaling: it moves no zero but makes moduli
+    # comparable between neighboring channels.  Working on log-modulus
+    # keeps the rescaling from under- or overflowing.
+    shift = np.zeros(n_ch)
+    if S.convention == "physical":
+        alpha = 2.0 * S.params.beta + 1.0
+        shift = 0.5 * (alpha + 1.0) * np.log(xis)
+    flat = A.ravel()
+    with np.errstate(divide="ignore"):
+        a = np.log(flat[f]) - shift[mm]
+        for dj, dm in ((0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1),
+                       (-1, 0), (1, 0)):
+            lower = a < np.log(flat[f + dj * n_ch + dm]) - shift[mm + dm]
+            f, mm, a = f[lower], mm[lower], a[lower]
+
+    jj = f // n_ch
     order = np.lexsort((jj, mm))
     jj, mm = jj[order], mm[order]
     zx = x[jj]

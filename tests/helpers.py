@@ -9,7 +9,7 @@ from scipy.fft import fft, ifft
 from scipy.special import gammaln
 
 from astzeros import (DiscreteSignal, LogFreqGrid, TimeGrid, WindowParams,
-                      basis_ft)
+                      basis_ft, cayley_to_disk, time_guard_margin)
 
 
 def closed_form_psi(u, p: WindowParams):
@@ -65,6 +65,55 @@ def dast_spectral_reference(y: DiscreteSignal, fg: LogFreqGrid,
     cols = ifft(spec[:, None] * mult, axis=0)
     phase = np.sqrt(xis)[None, :] * np.exp(-2j * np.pi * np.outer(x, xis))
     return cols * phase
+
+
+def detect_zeros_reference(S, guard):
+    """Zero detection by the full-grid formula: strict 8-neighbor minima of
+    the per-channel shifted log-modulus over all interior cells, then the
+    border, frequency and time guards, sorted by channel, then time.
+    Returns (j, m, x, xi, w)."""
+    n, n_ch = S.values.shape
+    with np.errstate(divide="ignore"):
+        a = np.log(np.abs(S.values))
+    if S.convention == "physical":
+        alpha = 2.0 * S.params.beta + 1.0
+        a = a - 0.5 * (alpha + 1.0) * np.log(S.freq_grid.channels())[None, :]
+    is_min = np.ones((n - 2, n_ch - 2), dtype=bool)
+    center = a[1:-1, 1:-1]
+    for dj in (-1, 0, 1):
+        for dm in (-1, 0, 1):
+            if dj == 0 and dm == 0:
+                continue
+            is_min &= center < a[1 + dj:n - 1 + dj, 1 + dm:n_ch - 1 + dm]
+    mask = np.zeros((n, n_ch), dtype=bool)
+    mask[1:-1, 1:-1] = is_min
+
+    b = guard.border_cells
+    mask[:b, :] = False
+    mask[n - b:, :] = False
+    g = max(b, guard.freq_channels)
+    mask[:, :g] = False
+    mask[:, n_ch - g:] = False
+
+    x = S.time_grid.nodes()
+    xis = S.freq_grid.channels()
+    if guard.envelope_tol is not None:
+        for m in range(n_ch):
+            margin = time_guard_margin(
+                xis[m], S.params.beta, guard.envelope_tol
+            )
+            edge = (x < S.time_grid.x_min + margin) | (
+                x > S.time_grid.x_max - margin
+            )
+            mask[edge, m] = False
+
+    jj, mm = np.nonzero(mask)
+    order = np.lexsort((jj, mm))
+    jj, mm = jj[order], mm[order]
+    zx = x[jj]
+    zxi = xis[mm]
+    w = cayley_to_disk(zx + 1j / zxi)
+    return jj, mm, zx, zxi, np.atleast_1d(w)
 
 def sample_poisson_disk(alpha: float, radius: float, rng) -> np.ndarray:
     """Poisson point process on the pseudo-hyperbolic disk of the given

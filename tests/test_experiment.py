@@ -113,3 +113,54 @@ def test_seed_changes_results():
 def test_workers_do_not_enter_the_config():
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert "workers" not in names
+
+
+# at this guard radius the center-scale cap leaves realizations 0 and 1 of
+# seed 7 with no inner center, and 2 and 3 with some
+SPARSE = {**TINY, "r_guard": 0.57, "realizations": 4}
+
+
+def test_realization_without_centers_is_left_out_of_g(tmp_path):
+    cfg = ExperimentConfig(**SPARSE)
+    b = run_experiment(cfg)
+    assert list(b.inner_counts) == [0, 0, 3, 1]
+    assert np.all(b.zero_counts > 0)
+    g = b.g_per_realization
+    assert np.all(np.isnan(g[:2])) and np.all(np.isfinite(g[2:]))
+    assert np.array_equal(b.g_mean, np.mean(g[2:], axis=0))
+    assert np.array_equal(b.g_q05, quantile_nearest_rank(g[2:], 0.05))
+    assert np.array_equal(b.g_q95, quantile_nearest_rank(g[2:], 0.95))
+    b2 = run_experiment(cfg, workers=2)
+    write_bundle(b, tmp_path / "w1")
+    write_bundle(b2, tmp_path / "w2")
+    for name in ("pair_correlation.csv", "intensity.csv", "zero_counts.csv"):
+        assert filecmp.cmp(tmp_path / "w1" / name, tmp_path / "w2" / name,
+                           shallow=False)
+    rows = (tmp_path / "w1" / "zero_counts.csv").read_text().splitlines()
+    assert rows[-4].endswith(",0") and rows[-3].endswith(",0")
+
+
+def test_no_center_in_any_realization_raises():
+    cfg = ExperimentConfig(**{**SPARSE, "r_guard": 0.6})
+    with pytest.raises(ValueError, match="no inner centers in any of the 4"):
+        run_experiment(cfg)
+
+
+def test_realization_error_names_index_and_seed(monkeypatch):
+    import astzeros.experiment as aexp
+
+    calls = {"n": 0}
+    real_detect = aexp.detect_zeros
+
+    def failing_second(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise FloatingPointError("forced")
+        return real_detect(*args, **kwargs)
+
+    monkeypatch.setattr(aexp, "detect_zeros", failing_second)
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(ExperimentConfig(**TINY))
+    assert str(info.value) == ("realization 1 (SeedSequence([7, 1])) "
+                               "failed: FloatingPointError: forced")
+    assert isinstance(info.value.__cause__, FloatingPointError)

@@ -105,18 +105,6 @@ def test_pair_correlation_two_point_exact():
     assert st.n_centers == 2
 
 
-def test_pair_correlation_literal_variant_relation():
-    rng = np.random.default_rng(2)
-    pts = sample_poisson_disk(40.0, 0.8, rng)
-    win = ObservationWindow.from_disk(0.8)
-    inner = classify_inner(pts, win, 0.35)
-    bins = np.linspace(0.1, 0.3, 5)
-    cal = estimate_pair_correlation(pts, inner, bins, 0.05, 40.0)
-    lit = estimate_pair_correlation(pts, inner, bins, 0.05, 40.0,
-                                    variant="literal")
-    assert np.allclose(lit.g_values, cal.g_values * cal.n_centers / 2.0)
-
-
 def test_pair_correlation_poisson_calibration():
     # for a Poisson process matched to the zero intensity, g is
     # identically 1; the estimator mean over seeds must recover that
@@ -161,9 +149,6 @@ def test_pair_correlation_validation():
         estimate_pair_correlation(pts, mask, np.array([0.01]), 0.05, 5.0)
     with pytest.raises(ValueError):
         estimate_pair_correlation(pts, mask, np.array([0.3]), -0.1, 5.0)
-    with pytest.raises(ValueError):
-        estimate_pair_correlation(pts, mask, np.array([0.3]), 0.05, 5.0,
-                                  variant="other")
     with pytest.raises(ValueError):
         estimate_pair_correlation(pts, np.array([True]), np.array([0.3]),
                                   0.05, 5.0)

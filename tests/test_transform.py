@@ -200,6 +200,22 @@ def test_explicit_log_scale_gets_its_own_plan():
     assert not np.array_equal(S3.values, S0.values)
 
 
+def test_second_call_leaves_first_result_unchanged():
+    # each call writes into its own output; nothing of one result is
+    # shared with the next call on the same cached plan
+    tg = TimeGrid.from_sampling(0.0, 16.0, 300)
+    fg = LogFreqGrid(0.25, 4.0, 140)  # two blocks, the second partial
+    p = WindowParams(5.0)
+    y1 = sample_white_noise(300, 1, grid=tg)
+    y2 = sample_white_noise(300, 2, grid=tg)
+    S1 = dast_spectral(y1, fg, p)
+    first = S1.values.copy()
+    S2 = dast_spectral(y2, fg, p)
+    assert not np.shares_memory(S1.values, S2.values)
+    assert np.array_equal(S1.values, first)
+    assert np.array_equal(S1.values, dast_spectral_reference(y1, fg, p, 0.0))
+
+
 def test_negative_frequency_tone_is_annihilated():
     # analytic-signal convention: content on negative frequencies (and the
     # DC bin) contributes nothing

@@ -13,6 +13,7 @@ from astzeros import (
     sample_white_noise,
     time_guard_margin,
 )
+from helpers import detect_zeros_reference
 
 P = WindowParams(5.0)
 
@@ -131,6 +132,48 @@ def test_matches_bruteforce_on_white_noise():
             if all(a[j, m] < b for b in nb):
                 found.add((j, m))
     assert set(zip(zs.j, zs.m)) == found
+
+
+def _assert_same_as_full_grid(S, guard):
+    zs = detect_zeros(S, guard)
+    ref = detect_zeros_reference(S, guard)
+    for got, want in zip((zs.j, zs.m, zs.x, zs.xi, zs.w), ref):
+        assert np.array_equal(got, want)
+    return len(zs)
+
+
+def test_candidate_detection_matches_full_grid():
+    # the candidate pass must return exactly the zero set of the full-grid
+    # 8-neighbor formula, bit for bit, under every guard and convention
+    tg = TimeGrid.from_sampling(0.0, 2000.0, 2000)
+    fg = LogFreqGrid(2.0 ** -6, 16.0, 300)
+    guards = (GuardSpec(1, 2, None), GuardSpec(), GuardSpec(3, 0, None),
+              GuardSpec(1, 0, None))
+    cases = [(300.0, s) for s in range(10)] + [(500.0, 0)]
+    for alpha, seed in cases:
+        y = sample_white_noise(2000, np.random.SeedSequence([0, seed]),
+                               grid=tg)
+        S = dast_spectral(y, fg, WindowParams.from_alpha(alpha))
+        for guard in guards:
+            assert _assert_same_as_full_grid(S, guard) > 100
+        lit = TFMatrix(S.values, S.time_grid, S.freq_grid, S.params,
+                       "literal", S.log_scale)
+        _assert_same_as_full_grid(lit, GuardSpec(1, 2, None))
+
+    # hand-built grids: ties between neighbors, exact zeros, inf and NaN
+    rng = np.random.default_rng(3)
+    v = np.round(rng.random((30, 12)) * 4.0) + 1.0  # many equal neighbors
+    v[4, 3] = v[10, 6] = v[11, 6] = 0.0  # isolated and adjacent exact zeros
+    v[15, 2] = v[16, 9] = np.inf
+    v[20, 5] = v[21, 7] = np.nan
+    v[22, 7] = 0.5  # a dip next to a NaN
+    v[8, 9] = 0.5  # a dip next to an inf ...
+    v[8, 10] = np.inf  # ... across channels
+    for conv in ("literal", "physical"):
+        for guard in (GuardSpec(1, 0, None), GuardSpec(2, 3, 1e-4)):
+            _assert_same_as_full_grid(_matrix(v, conv), guard)
+            _assert_same_as_full_grid(_matrix(v[::-1], conv), guard)
+    assert _assert_same_as_full_grid(_matrix(v), GuardSpec(1, 0, None)) > 0
 
 
 def test_disk_coordinates_match_cayley_map():
