@@ -2,16 +2,7 @@
 hyperbolic spatial statistics comparing those zeros to the zeros of the
 hyperbolic Gaussian analytic function."""
 
-from .geometry import (
-    MetricConvention,
-    cayley_from_disk,
-    cayley_to_disk,
-    hyperbolic_disk_area,
-    hyperbolic_distance,
-    hyperbolic_radius_from_pseudo,
-    pseudo_hyperbolic_distance,
-    pseudo_radius_from_hyperbolic,
-)
+from .geometry import cayley_to_disk, pseudo_hyperbolic_distance
 from .windows import (
     WindowParams,
     basis_ft,
@@ -40,7 +31,6 @@ from .gaf import (
     expected_count,
     gaf_zeros,
     sample_gaf,
-    theoretical_intensity,
     theoretical_pair_correlation,
     truncation_order,
 )
@@ -48,7 +38,6 @@ from .spatial import (
     ObservationWindow,
     RadialStats,
     classify_inner,
-    estimate_intensity,
     estimate_pair_correlation,
 )
 from .experiment import (
@@ -62,14 +51,8 @@ from .experiment import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MetricConvention",
-    "cayley_from_disk",
     "cayley_to_disk",
-    "hyperbolic_disk_area",
-    "hyperbolic_distance",
-    "hyperbolic_radius_from_pseudo",
     "pseudo_hyperbolic_distance",
-    "pseudo_radius_from_hyperbolic",
     "WindowParams",
     "basis_ft",
     "cauchy_wavelet_ft",
@@ -96,13 +79,11 @@ __all__ = [
     "expected_count",
     "gaf_zeros",
     "sample_gaf",
-    "theoretical_intensity",
     "theoretical_pair_correlation",
     "truncation_order",
     "ObservationWindow",
     "RadialStats",
     "classify_inner",
-    "estimate_intensity",
     "estimate_pair_correlation",
     "ExperimentConfig",
     "ResultBundle",

@@ -21,7 +21,7 @@ from .experiment import ExperimentConfig, run_experiment, write_bundle
 from .gaf import gaf_zeros, sample_gaf, truncation_order
 from .spatial import (ObservationWindow, classify_inner,
                       estimate_pair_correlation, radial_bins)
-from .transform import LogFreqGrid, dast_direct, dast_spectral
+from .transform import LogFreqGrid, dast_spectral
 from .windows import WindowParams
 from .zeros import GuardSpec, detect_zeros
 
@@ -78,11 +78,7 @@ def cmd_transform(args):
     fg = LogFreqGrid(float(args.xi_min), float(args.xi_max),
                      int(args.channels))
     p = WindowParams.from_alpha(float(args.alpha))
-    if args.direct:
-        S = dast_direct(sig, fg, p)
-    else:
-        S = dast_spectral(sig, fg, p)
-    zio.write_tfmatrix(S, args.out)
+    zio.write_tfmatrix(dast_spectral(sig, fg, p), args.out)
     print(f"wrote {args.out}")
 
 
@@ -149,8 +145,6 @@ def build_parser():
     t.add_argument("--xi-min", type=float, default=2.0 ** -6)
     t.add_argument("--xi-max", type=float, default=16.0)
     t.add_argument("--channels", type=int, default=300)
-    t.add_argument("--direct", action="store_true",
-                   help="use the reference evaluator")
     t.set_defaults(func=cmd_transform)
 
     z = sub.add_parser("zeros", help="binary transform file -> zero list CSV")

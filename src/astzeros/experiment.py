@@ -57,7 +57,6 @@ class ExperimentConfig:
     r_step: float = 0.01
     r_guard: float = -1.0  # negative: use r_max + h/2
     guard_channels: int = 2
-    convention: str = "pi"
     noise_kind: str = "complex"
     out_dir: str = "results"
     keep_zeros: bool = False
@@ -69,8 +68,9 @@ class ExperimentConfig:
             raise ValueError("need at least one realization")
         if not (0 < self.r_min < self.r_max < 1) or self.r_step <= 0:
             raise ValueError("invalid radial bin range")
-        if self.convention not in ("pi", "factor4"):
-            raise ValueError("convention must be 'pi' or 'factor4'")
+        if self.noise_kind not in ("complex", "real"):
+            raise ValueError("noise_kind must be 'complex' or 'real'")
+        LogFreqGrid(self.xi_min, self.xi_max, self.n_channels)  # validates
 
     @property
     def duration(self) -> float:
@@ -124,9 +124,7 @@ def _window_geometry(cfg: ExperimentConfig):
     y_lo = 1.0 / xis[cfg.n_channels - 1 - g]
     y_hi = 1.0 / xis[g]
     period = cfg.duration
-    win = ObservationWindow.from_halfplane_rect(
-        0.0, period, y_lo, y_hi, periodic_x=True
-    )
+    win = ObservationWindow.from_halfplane_rect(0.0, period, y_lo, y_hi)
     r_g = cfg.guard_radius
     # an interaction ring of radius r_g at height y has Euclidean width
     # 4 r_g y / (1 - r_g^2); capping it below one period keeps periodic

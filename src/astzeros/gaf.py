@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .geometry import MetricConvention
-
 
 @dataclass(frozen=True)
 class GafSample:
@@ -292,25 +290,9 @@ def gaf_zeros(g: GafSample, r_max: float,
     return np.concatenate([at_origin, w])
 
 
-def theoretical_intensity(alpha: float,
-                          convention=MetricConvention.PI) -> float:
-    """Zero intensity per unit hyperbolic area.
-
-    Pairs with hyperbolic_disk_area of the same convention: either pairing
-    yields the convention-free expected count alpha r^2 / (1 - r^2) in a
-    pseudo-hyperbolic disk of radius r.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    conv = MetricConvention(convention)
-    if conv is MetricConvention.PI:
-        return alpha / np.pi
-    return alpha / (4.0 * np.pi)
-
-
 def expected_count(alpha: float, r: float) -> float:
-    """Expected number of zeros in a pseudo-hyperbolic disk of radius r;
-    convention-free anchor for the intensity."""
+    """Expected number of zeros in a pseudo-hyperbolic disk of radius r:
+    the intensity anchor, free of any metric normalization."""
     return alpha * r ** 2 / (1.0 - r ** 2)
 
 

@@ -1,28 +1,11 @@
-"""Poincare disk model: Cayley map, hyperbolic distances, disk areas.
+"""Poincare disk model: the Cayley map and the pseudo-hyperbolic distance.
 
 All functions accept scalars or numpy arrays and broadcast elementwise.
 Half-plane points are complex numbers x + i*y with y > 0, disk points are
 complex numbers of modulus < 1.
 """
 
-import enum
-
 import numpy as np
-
-
-class MetricConvention(enum.Enum):
-    """Pairing of zero intensity and hyperbolic area normalizations.
-
-    The two conventions differ by a factor 4 in the metric; either pairing
-    yields the same expected point count (intensity times area), which is the
-    quantity everything downstream is calibrated against.
-
-    PI:      intensity alpha/pi, ball area pi*sinh^2(r'/2).
-    FACTOR4: intensity alpha/(4*pi), ball area 4*pi*sinh^2(r'/2).
-    """
-
-    PI = "pi"
-    FACTOR4 = "factor4"
 
 
 def cayley_to_disk(z):
@@ -34,51 +17,9 @@ def cayley_to_disk(z):
     return w[()] if w.ndim == 0 else w
 
 
-def cayley_from_disk(w, boundary_tol=1e-12):
-    """Inverse Cayley map, z = (i + i*w)/(1 - w).
-
-    Points within `boundary_tol` of the unit circle are rejected instead of
-    being mapped to huge half-plane coordinates.
-    """
-    w = np.asarray(w, dtype=complex)
-    if np.any(np.abs(w) >= 1.0 - boundary_tol):
-        raise ValueError("point not strictly inside the unit disk")
-    z = (1j + 1j * w) / (1.0 - w)
-    return z[()] if z.ndim == 0 else z
-
-
 def pseudo_hyperbolic_distance(w1, w2):
     """p(w1, w2) = |w1 - w2| / |1 - conj(w2)*w1|, in [0, 1) on the disk."""
     w1 = np.asarray(w1, dtype=complex)
     w2 = np.asarray(w2, dtype=complex)
     p = np.abs(w1 - w2) / np.abs(1.0 - np.conj(w2) * w1)
     return p[()] if p.ndim == 0 else p
-
-
-def hyperbolic_distance(w1, w2):
-    """Hyperbolic distance d = 2*atanh(p(w1, w2))."""
-    return 2.0 * np.arctanh(pseudo_hyperbolic_distance(w1, w2))
-
-
-def hyperbolic_disk_area(r_prime, convention=MetricConvention.FACTOR4):
-    """Area of a hyperbolic ball of hyperbolic radius r_prime.
-
-    4*pi*sinh^2(r'/2) under FACTOR4 (the default), pi*sinh^2(r'/2) under
-    PI.  See MetricConvention for the pairing with the zero intensity.
-    """
-    r_prime = np.asarray(r_prime, dtype=float)
-    if np.any(r_prime < 0):
-        raise ValueError("hyperbolic radius must be nonnegative")
-    scale = 4.0 * np.pi if convention is MetricConvention.FACTOR4 else np.pi
-    a = scale * np.sinh(r_prime / 2.0) ** 2
-    return a[()] if a.ndim == 0 else a
-
-
-def pseudo_radius_from_hyperbolic(r_prime):
-    """Convert hyperbolic radius r' to pseudo-hyperbolic radius tanh(r'/2)."""
-    return np.tanh(np.asarray(r_prime, dtype=float) / 2.0)
-
-
-def hyperbolic_radius_from_pseudo(r):
-    """Convert pseudo-hyperbolic radius r in [0,1) to hyperbolic radius."""
-    return 2.0 * np.arctanh(np.asarray(r, dtype=float))

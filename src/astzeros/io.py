@@ -14,6 +14,7 @@ import struct
 import zipfile
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .transform import DiscreteSignal, LogFreqGrid, TFMatrix, TimeGrid
 from .windows import WindowParams
@@ -91,19 +92,24 @@ def read_signal_binary(path) -> DiscreteSignal:
 
 def write_tfmatrix(S: TFMatrix, path):
     """Uncompressed ``.npz``: ``values`` (complex128, as in memory) and the
-    grid, window and scale metadata as 0-d arrays.  Written through an
-    open handle, so ``path`` is used as given: ``np.savez`` appends
-    ``.npz`` to a file name that lacks it."""
-    with open(path, "wb") as f:
-        np.savez(
-            f, values=S.values,
-            beta=S.params.beta, convention=S.convention,
-            log_scale=S.log_scale,
-            x_min=S.time_grid.x_min, x_max=S.time_grid.x_max,
-            n_samples=S.time_grid.n_samples,
-            xi_min=S.freq_grid.xi_min, xi_max=S.freq_grid.xi_max,
-            n_channels=S.freq_grid.n_channels,
-        )
+    grid, window and scale metadata as 0-d arrays, written to ``path`` as
+    given.  Each member is an ``.npy`` header followed by the array's own
+    buffer, so no serialized copy of ``values`` is made (``np.savez``
+    copies it through ``tobytes``)."""
+    arrays = {
+        "values": S.values, "beta": S.params.beta, "log_scale": S.log_scale,
+        "x_min": S.time_grid.x_min, "x_max": S.time_grid.x_max,
+        "n_samples": S.time_grid.n_samples,
+        "xi_min": S.freq_grid.xi_min, "xi_max": S.freq_grid.xi_max,
+        "n_channels": S.freq_grid.n_channels,
+    }
+    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
+        for name, a in arrays.items():
+            a = np.asarray(a, order="C")
+            with zf.open(name + ".npy", "w", force_zip64=True) as member:
+                npy.write_array_header_1_0(
+                    member, npy.header_data_from_array_1_0(a))
+                member.write(a.reshape(-1).view(np.uint8).data)
 
 
 def read_tfmatrix(path) -> TFMatrix:
@@ -117,7 +123,7 @@ def read_tfmatrix(path) -> TFMatrix:
             fg = LogFreqGrid(float(z["xi_min"]), float(z["xi_max"]),
                              int(z["n_channels"]))
             S = TFMatrix(z["values"], tg, fg, WindowParams(float(z["beta"])),
-                         str(z["convention"]), float(z["log_scale"]))
+                         float(z["log_scale"]))
     except (ValueError, TypeError, KeyError, EOFError,
             zipfile.BadZipFile) as exc:
         raise ValueError(f"not a transform file: {exc!r}") from exc

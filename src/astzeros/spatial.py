@@ -1,5 +1,5 @@
-"""Empirical spatial statistics of disk point sets: first intensity and the
-edge-corrected pair correlation estimator.
+"""Empirical spatial statistics of disk point sets: the inner-center test
+and the edge-corrected pair correlation estimator.
 
 Edge correction is of the reduced-sample kind: pair counting is averaged
 only over "inner" centers whose full interaction ring lies inside the
@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    MetricConvention,
-    cayley_to_disk,
-    hyperbolic_disk_area,
-    hyperbolic_distance,
-    pseudo_hyperbolic_distance,
-)
+from .geometry import cayley_to_disk, pseudo_hyperbolic_distance
 
 
 @dataclass(frozen=True)
@@ -43,23 +37,19 @@ class ObservationWindow:
 
     @classmethod
     def from_halfplane_rect(cls, x_min, x_max, y_min, y_max,
-                            points_per_side: int = 256,
-                            periodic_x: bool = False):
-        """Cayley image of the rectangle [x_min, x_max] x [y_min, y_max]
-        in (time, scale) coordinates.
+                            points_per_side: int = 256):
+        """Cayley image of the scale sides of the rectangle
+        [x_min, x_max] x [y_min, y_max] in (time, scale) coordinates.
 
-        With ``periodic_x`` the signal is treated as time-periodic, so the
-        left/right sides are not real boundaries: only the top and bottom
-        sides (scale extremes) are densified.
+        The signal is time-periodic, so the left/right sides are not real
+        boundaries: only the bottom and top sides (scale extremes) are
+        densified.
         """
         if not (x_max > x_min and y_max > y_min > 0):
             raise ValueError("degenerate rectangle")
         xs = np.linspace(x_min, x_max, points_per_side)
-        ys = np.linspace(y_min, y_max, points_per_side)
-        sides = [xs + 1j * y_min, xs + 1j * y_max]
-        if not periodic_x:
-            sides += [x_min + 1j * ys, x_max + 1j * ys]
-        return cls(cayley_to_disk(np.concatenate(sides)))
+        return cls(cayley_to_disk(np.concatenate([xs + 1j * y_min,
+                                                  xs + 1j * y_max])))
 
 
 @dataclass(frozen=True)
@@ -106,21 +96,6 @@ def classify_inner(points, win: ObservationWindow, r_guard: float):
     return np.min(d, axis=1) > r_guard
 
 
-def estimate_intensity(points, center, r_prime: float,
-                       convention=MetricConvention.FACTOR4) -> float:
-    """Point count within hyperbolic distance r_prime of ``center``,
-    divided by the hyperbolic disk area of the chosen convention."""
-    if r_prime <= 0:
-        raise ValueError("r_prime must be positive")
-    points = np.asarray(points, dtype=complex)
-    if points.size == 0:
-        return 0.0
-    count = np.count_nonzero(
-        hyperbolic_distance(points, center) < r_prime
-    )
-    return count / hyperbolic_disk_area(r_prime, convention)
-
-
 def estimate_pair_correlation(points, inner_mask, r_bins, h: float,
                               alpha: float) -> RadialStats:
     """Edge-corrected pair correlation estimate.
@@ -132,8 +107,9 @@ def estimate_pair_correlation(points, inner_mask, r_bins, h: float,
 
         g_hat(r) = (1 - r^2)^2 / (2 alpha h r n_c) * pair_count(r),
 
-    the constant fixed by intensity-times-ring-area under either metric
-    convention and validated against Poisson and analytic oracles.
+    the Poisson count 2 alpha h r / (1 - r^2)^2 being h times the
+    r-derivative of the expected count alpha r^2 / (1 - r^2); validated
+    against Poisson and analytic oracles.
     """
     if h <= 0:
         raise ValueError("h must be positive")

@@ -1,17 +1,16 @@
 """Sampling grids, discrete white noise, and the discrete analytic
 Stockwell transform.
 
-Two evaluators are provided.  ``dast_direct`` is a literal-sum reference:
+Two evaluators are provided.  ``dast_direct`` is a direct-sum reference:
 for each channel it correlates the signal with time-domain window samples
 obtained by numerical Fourier synthesis.  ``dast_spectral`` is the fast
 path: per channel, a Fourier multiplier supported on positive frequencies
-is applied via the FFT.  Under the default physical-units convention the
-two agree to near machine precision and both reproduce the closed-form
-transform of the orthogonal basis family.  The multipliers and modulations
-of the last (grids, beta, log_scale) configuration are cached: one plan of
-n*M*16 + ceil(n/2)*M*8 bytes for n samples and M channels.  A call needs
-no buffer beyond its n*M*16-byte output, which holds each block's inverse
-FFT in place.
+is applied via the FFT.  The two agree to near machine precision and both
+reproduce the closed-form transform of the orthogonal basis family.  The
+multipliers and modulations of the last (grids, beta, log_scale)
+configuration are cached: one plan of n*M*16 + ceil(n/2)*M*8 bytes for n
+samples and M channels.  A call needs no buffer beyond its n*M*16-byte
+output, which holds each block's inverse FFT in place.
 
 Amplitude bookkeeping is done in the log domain.  A per-matrix
 ``log_scale`` L is chosen from the channel range so that stored values are
@@ -30,8 +29,6 @@ from scipy.special import gammaln
 
 from .windows import TWO_PI, WindowParams
 
-PHYSICAL = "physical"
-LITERAL = "literal"
 _BLOCK = 128  # channels per inverse FFT batch
 
 
@@ -113,7 +110,6 @@ class TFMatrix:
     time_grid: TimeGrid
     freq_grid: LogFreqGrid
     params: WindowParams
-    convention: str = PHYSICAL
     log_scale: float = 0.0
 
     def __post_init__(self):
@@ -166,24 +162,22 @@ class CauchyWindowKernel:
     synthesized on a fine time grid with the FFT, and interpolated with a
     cubic spline.  ``eval_normalized`` returns psi(u) / (sqrt(2 pi)
     e^(log_peak)); callers fold log_peak into their own log-domain
-    amplitude.  The synthesis error is bounded by the envelope tolerance
-    (truncation) plus the spline interpolation error, both far below 1e-8
-    for the default oversampling.
+    amplitude.  The synthesis error is bounded by the 1e-13 envelope
+    tolerance (truncation) plus the spline interpolation error at 128
+    samples per period of the highest kept frequency, both far below 1e-8.
     """
 
-    def __init__(self, params: WindowParams, oversample=128,
-                 envelope_tol=1e-13, u_cap=1e3):
+    def __init__(self, params: WindowParams):
         b = params.beta
         self.params = params
         self.log_peak = b * (np.log(b / TWO_PI) - 1.0)
         # frequency extent: where the normalized profile drops below 1e-18
         t_hi = _tail_ratio(b, np.log(1e-18))
         nu_hi = t_hi * b / TWO_PI
-        # time extent from the |1 + i u|^-(beta+1) envelope
-        self.u_span = min(
-            u_cap, np.sqrt(envelope_tol ** (-2.0 / (b + 1.0)) - 1.0)
-        )
-        du = 1.0 / (oversample * nu_hi)
+        # time extent where the |1 + i u|^-(beta+1) envelope exceeds 1e-13,
+        # capped at |u| = 1000
+        self.u_span = min(1e3, np.sqrt(1e-13 ** (-2.0 / (b + 1.0)) - 1.0))
+        du = 1.0 / (128 * nu_hi)
         n_fft = next_fast_len(int(np.ceil(2.5 * self.u_span / du)))
         dnu = 1.0 / (n_fft * du)
         nu = dnu * np.arange(n_fft)
@@ -219,53 +213,38 @@ def default_log_scale(fg: LogFreqGrid, p: WindowParams) -> float:
 
 
 def dast_direct(y: DiscreteSignal, fg: LogFreqGrid, p: WindowParams,
-                convention: str = PHYSICAL, kernel: CauchyWindowKernel = None,
-                log_scale: float = None) -> TFMatrix:
-    """Reference evaluator: per-channel correlation with synthesized window
-    samples.
+                kernel: CauchyWindowKernel = None) -> TFMatrix:
+    """Reference evaluator: per-channel circular correlation with
+    synthesized window samples.
 
-    The physical convention uses the circular (periodized) window, matching
-    the spectral evaluator's implicit periodicity; the literal convention
-    reproduces the plain sum with the e^{-i(2 pi / N) xi_m x_n} exponent
-    and applies no periodization or amplitude rescaling.
+    The window is periodized to the signal period, matching the spectral
+    evaluator's implicit periodicity, and the values carry the same
+    ``default_log_scale`` rescale.
     """
-    if convention not in (PHYSICAL, LITERAL):
-        raise ValueError("unknown convention")
     if kernel is None:
         kernel = CauchyWindowKernel(p)
     n = y.grid.n_samples
     dx = y.grid.delta_x
     x = y.grid.nodes()
-    xis = fg.channels()
     period = n * dx
-    if log_scale is None:
-        log_scale = default_log_scale(fg, p) if convention == PHYSICAL else 0.0
+    log_scale = default_log_scale(fg, p)
     out = np.empty((n, fg.n_channels), dtype=complex)
     sig = y.samples
-    if convention == PHYSICAL:
-        # circular lag grid, signed distances in (-N/2, N/2]
-        delta = ((np.arange(n) + n // 2) % n) - n // 2
-        for m, xi in enumerate(xis):
-            u0 = xi * dx * delta
-            n_alias = int(np.ceil(kernel.u_span / (xi * period))) + 1
-            k = np.zeros(n, dtype=complex)
-            for a in range(-n_alias, n_alias + 1):
-                k += np.conj(kernel.eval_normalized(u0 + a * xi * period))
-            row = np.array([np.dot(sig, np.roll(k, j)) for j in range(n)])
-            log_amp = (
-                (p.beta + 1.5) * np.log(xi) + np.log(dx)
-                + kernel.log_peak - log_scale
-            )
-            out[:, m] = np.exp(log_amp) * np.exp(-2j * np.pi * xi * x) * row
-    else:
-        amp = np.sqrt(TWO_PI) * np.exp(kernel.log_peak)
-        for m, xi in enumerate(xis):
-            phase = np.exp(-1j * (TWO_PI / n) * xi * x) * sig
-            for j in range(n):
-                u = xi * (x - x[j])
-                w = np.conj(kernel.eval_normalized(u)) * np.exp(2j * np.pi * u)
-                out[j, m] = amp * np.dot(phase, w)
-    return TFMatrix(out, y.grid, fg, p, convention, log_scale)
+    # circular lag grid, signed distances in (-N/2, N/2]
+    delta = ((np.arange(n) + n // 2) % n) - n // 2
+    for m, xi in enumerate(fg.channels()):
+        u0 = xi * dx * delta
+        n_alias = int(np.ceil(kernel.u_span / (xi * period))) + 1
+        k = np.zeros(n, dtype=complex)
+        for a in range(-n_alias, n_alias + 1):
+            k += np.conj(kernel.eval_normalized(u0 + a * xi * period))
+        row = np.array([np.dot(sig, np.roll(k, j)) for j in range(n)])
+        log_amp = (
+            (p.beta + 1.5) * np.log(xi) + np.log(dx)
+            + kernel.log_peak - log_scale
+        )
+        out[:, m] = np.exp(log_amp) * np.exp(-2j * np.pi * xi * x) * row
+    return TFMatrix(out, y.grid, fg, p, log_scale)
 
 
 @lru_cache(maxsize=1)
@@ -333,18 +312,18 @@ def dast_spectral(y: DiscreteSignal, fg: LogFreqGrid, p: WindowParams,
         # multiply reading the returned array would copy the block
         ifft(blk, axis=0, overwrite_x=True)
         np.multiply(blk, phase, out=blk)
-    return TFMatrix(out, y.grid, fg, p, PHYSICAL, log_scale)
+    return TFMatrix(out, y.grid, fg, p, log_scale)
 
 
 def extract_analytic_part(S: TFMatrix) -> np.ndarray:
     """Divide out the nonvanishing modulation factor, exposing samples of
     an analytic function of z = x + i/xi (times one global constant).
 
-    The stored physical-convention values already carry the xi-power part
-    of the nonvanishing factor, so only the e^(-2 pi i xi x) phase needs
-    removing; a single global constant recenters the white-noise amplitude
-    envelope so the result spans the double range even when the raw
-    channel amplitudes could not.  The residual sqrt(xi) prefactor is not
+    The stored values already carry the xi-power part of the nonvanishing
+    factor, so only the e^(-2 pi i xi x) phase needs removing; a single
+    global constant recenters the white-noise amplitude envelope so the
+    result spans the double range even when the raw channel amplitudes
+    could not.  The residual sqrt(xi) prefactor is not
     analytic, but its contribution to the relative Cauchy-Riemann residual
     is O(1/alpha).  Moduli (hence zeros) match the input cell for cell up
     to the global constant.

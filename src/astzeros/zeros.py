@@ -94,17 +94,14 @@ def detect_zeros(S: TFMatrix, guard: GuardSpec = GuardSpec()) -> ZeroSet:
 
     # Exact test on the candidates: strictly below all eight neighbors in
     # log-modulus, one neighbor at a time, dropping a candidate at its
-    # first failure.  For the physical convention the white-noise variance
-    # of a channel grows like xi^(alpha+1), a deterministic
-    # ~2^(alpha/2)-per-octave ramp that would swamp the cross-channel
-    # comparison.  Dividing each channel by its standard-deviation scale is
-    # a positive per-channel rescaling: it moves no zero but makes moduli
-    # comparable between neighboring channels.  Working on log-modulus
-    # keeps the rescaling from under- or overflowing.
-    shift = np.zeros(n_ch)
-    if S.convention == "physical":
-        alpha = 2.0 * S.params.beta + 1.0
-        shift = 0.5 * (alpha + 1.0) * np.log(xis)
+    # first failure.  The white-noise variance of a channel grows like
+    # xi^(alpha+1), a deterministic ~2^(alpha/2)-per-octave ramp that would
+    # swamp the cross-channel comparison.  Dividing each channel by its
+    # standard-deviation scale is a positive per-channel rescaling: it
+    # moves no zero but makes moduli comparable between neighboring
+    # channels.  Working on log-modulus keeps the rescaling from under- or
+    # overflowing.
+    shift = 0.5 * (S.params.alpha + 1.0) * np.log(xis)
     flat = A.ravel()
     with np.errstate(divide="ignore"):
         a = np.log(flat[f]) - shift[mm]

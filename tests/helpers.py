@@ -73,11 +73,10 @@ def detect_zeros_reference(S, guard):
     border, frequency and time guards, sorted by channel, then time.
     Returns (j, m, x, xi, w)."""
     n, n_ch = S.values.shape
+    alpha = 2.0 * S.params.beta + 1.0
     with np.errstate(divide="ignore"):
         a = np.log(np.abs(S.values))
-    if S.convention == "physical":
-        alpha = 2.0 * S.params.beta + 1.0
-        a = a - 0.5 * (alpha + 1.0) * np.log(S.freq_grid.channels())[None, :]
+    a = a - 0.5 * (alpha + 1.0) * np.log(S.freq_grid.channels())[None, :]
     is_min = np.ones((n - 2, n_ch - 2), dtype=bool)
     center = a[1:-1, 1:-1]
     for dj in (-1, 0, 1):

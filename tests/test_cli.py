@@ -118,3 +118,17 @@ def test_failure_is_machine_readable(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_removed_options_are_rejected(tmp_path, signal_file, capsys):
+    # the reference evaluator and the metric convention are not options
+    with pytest.raises(SystemExit):
+        main(["transform", "--in", str(signal_file),
+              "--out", str(tmp_path / "tf.npz"), "--direct"])
+    with pytest.raises(SystemExit):
+        main(["experiment", "--convention", "pi"])
+    capsys.readouterr()
+    old = tmp_path / "old.cfg"
+    old.write_text("alpha = 50\nconvention = pi\n")
+    with pytest.raises(ValueError, match="unknown key 'convention'"):
+        load_config(old)

@@ -32,8 +32,14 @@ def test_config_validation_and_derived_fields():
         ExperimentConfig(realizations=0)
     with pytest.raises(ValueError):
         ExperimentConfig(r_min=0.6, r_max=0.5)
-    with pytest.raises(ValueError):
-        ExperimentConfig(convention="other")
+    # configuration errors surface at construction, not inside a
+    # realization
+    with pytest.raises(ValueError, match="noise_kind"):
+        ExperimentConfig(noise_kind="gauss")
+    with pytest.raises(ValueError, match="channel"):
+        ExperimentConfig(n_channels=1)
+    with pytest.raises(ValueError, match="xi_max > xi_min"):
+        ExperimentConfig(xi_min=16.0, xi_max=2.0)
 
 
 def test_config_hash_tracks_fields():

@@ -5,13 +5,9 @@ from scipy.special import gammaln, logsumexp
 import astzeros.gaf as gaf_module
 from astzeros import (
     GafSample,
-    MetricConvention,
     expected_count,
     gaf_zeros,
-    hyperbolic_disk_area,
-    hyperbolic_radius_from_pseudo,
     sample_gaf,
-    theoretical_intensity,
     theoretical_pair_correlation,
     truncation_order,
 )
@@ -152,17 +148,6 @@ def test_large_alpha_representation_stays_finite():
     assert np.all(np.isfinite(g.coeffs))
     assert np.isfinite(g.log_amp_scale)
     assert np.max(np.abs(g.coeffs)) > 0
-
-
-def test_intensity_conventions_agree_on_expected_count():
-    alpha = 17.0
-    for r in (0.2, 0.5, 0.9):
-        r_prime = hyperbolic_radius_from_pseudo(r)
-        for conv in MetricConvention:
-            n = theoretical_intensity(alpha, conv) * hyperbolic_disk_area(
-                r_prime, conv
-            )
-            assert n == pytest.approx(expected_count(alpha, r), rel=1e-12)
 
 
 def test_pair_correlation_checkpoints():

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from astzeros import (
-    MetricConvention,
     ObservationWindow,
     cayley_to_disk,
     classify_inner,
-    estimate_intensity,
     estimate_pair_correlation,
-    hyperbolic_disk_area,
-    hyperbolic_radius_from_pseudo,
-    pseudo_hyperbolic_distance,
 )
 from helpers import mobius_disk, sample_poisson_disk
 
@@ -31,14 +26,11 @@ def test_disk_window_boundary():
 
 
 def test_halfplane_rect_window():
-    full = ObservationWindow.from_halfplane_rect(0.0, 2.0, 0.5, 4.0,
-                                                 points_per_side=64)
     per = ObservationWindow.from_halfplane_rect(0.0, 2.0, 0.5, 4.0,
-                                                points_per_side=64,
-                                                periodic_x=True)
-    assert len(full.boundary) == 4 * 64
+                                                points_per_side=64)
     assert len(per.boundary) == 2 * 64
-    # periodic window keeps exactly the Cayley images of the two scale lines
+    # the time-periodic window keeps exactly the Cayley images of the two
+    # scale lines
     xs = np.linspace(0.0, 2.0, 64)
     expect = cayley_to_disk(np.concatenate([xs + 0.5j, xs + 4.0j]))
     assert np.allclose(per.boundary, expect)
@@ -81,17 +73,6 @@ def test_classify_inner_empty_and_validation():
     assert classify_inner(np.zeros(0, complex), win, 0.2).size == 0
     with pytest.raises(ValueError):
         classify_inner(np.array([0.1 + 0j]), win, 0.0)
-
-
-def test_estimate_intensity_counts_and_normalizes():
-    r_prime = hyperbolic_radius_from_pseudo(0.4)
-    pts = np.array([0.0, 0.2, 0.39, 0.8], dtype=complex)  # three inside
-    for conv in MetricConvention:
-        rho = estimate_intensity(pts, 0.0, r_prime, conv)
-        assert rho == pytest.approx(3.0 / hyperbolic_disk_area(r_prime, conv))
-    assert estimate_intensity(np.zeros(0, complex), 0.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        estimate_intensity(pts, 0.0, -1.0)
 
 
 def test_pair_correlation_two_point_exact():

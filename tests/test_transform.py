@@ -91,29 +91,6 @@ def test_direct_and_spectral_agree():
     assert err < 1e-9
 
 
-def test_literal_convention_matches_plain_sum():
-    # brute-force reference built from the closed-form window, independent
-    # of the kernel synthesis used inside dast_direct
-    n = 48
-    tg = TimeGrid.from_sampling(0.0, 8.0, n)
-    fg = LogFreqGrid(0.5, 2.0, 4)
-    p = WindowParams(3.5)
-    y = sample_white_noise(n, 3, grid=tg)
-    S = dast_direct(y, fg, p, convention="literal")
-    assert S.log_scale == 0.0
-    x = tg.nodes()
-    ref = np.empty((n, 4), dtype=complex)
-    for m, xi in enumerate(fg.channels()):
-        for j in range(n):
-            u = xi * (x - x[j])
-            w = np.conj(closed_form_psi(u, p)) * np.exp(2j * np.pi * u)
-            ref[j, m] = np.dot(
-                y.samples * np.exp(-1j * (2 * np.pi / n) * xi * x), w
-            )
-    err = np.max(np.abs(S.values - ref)) / np.max(np.abs(ref))
-    assert err < 1e-7
-
-
 def test_spectral_linearity_and_zero_input():
     tg = TimeGrid.from_sampling(0.0, 16.0, 64)
     fg = LogFreqGrid(0.5, 2.0, 6)
@@ -292,6 +269,6 @@ def test_cauchy_riemann_residual_detects_analyticity():
     res, grad = cauchy_riemann_residual(S)
     assert res < 0.05 * grad
     # the conjugated field is anti-analytic: the same statistic must blow up
-    S_conj = TFMatrix(np.conj(S.values), tg, fg, p, S.convention, S.log_scale)
+    S_conj = TFMatrix(np.conj(S.values), tg, fg, p, S.log_scale)
     res_c, grad_c = cauchy_riemann_residual(S_conj)
     assert res_c > 0.5 * grad_c

@@ -18,11 +18,16 @@ from helpers import detect_zeros_reference
 P = WindowParams(5.0)
 
 
-def _matrix(values, convention="literal"):
+def _matrix(values):
+    """Transform matrix whose values are ``values`` with channel m scaled by
+    xi_m^((alpha+1)/2), the white-noise ramp that ``detect_zeros``
+    divides out, so the channel-flattened moduli are ``values``."""
     n, n_ch = values.shape
     tg = TimeGrid.from_sampling(0.0, 1.0, n)
     fg = LogFreqGrid(0.5, 2.0, n_ch)
-    return TFMatrix(np.asarray(values, complex), tg, fg, P, convention, 0.0)
+    ramp = fg.channels() ** ((P.alpha + 1) / 2)
+    v = (np.asarray(values, float) * ramp).astype(complex)
+    return TFMatrix(v, tg, fg, P, 0.0)
 
 
 def test_guard_spec_validation():
@@ -49,7 +54,7 @@ def test_exact_zero_always_detected_with_channel_flattening():
     rng = np.random.default_rng(0)
     v = rng.random((16, 9)) + 0.5
     v[7, 3] = 0.0
-    zs = detect_zeros(_matrix(v, convention="physical"), GuardSpec(1, 0, None))
+    zs = detect_zeros(_matrix(v), GuardSpec(1, 0, None))
     assert (7, 3) in set(zip(zs.j, zs.m))
 
 
@@ -144,7 +149,7 @@ def _assert_same_as_full_grid(S, guard):
 
 def test_candidate_detection_matches_full_grid():
     # the candidate pass must return exactly the zero set of the full-grid
-    # 8-neighbor formula, bit for bit, under every guard and convention
+    # 8-neighbor formula, bit for bit, under every guard
     tg = TimeGrid.from_sampling(0.0, 2000.0, 2000)
     fg = LogFreqGrid(2.0 ** -6, 16.0, 300)
     guards = (GuardSpec(1, 2, None), GuardSpec(), GuardSpec(3, 0, None),
@@ -156,9 +161,6 @@ def test_candidate_detection_matches_full_grid():
         S = dast_spectral(y, fg, WindowParams.from_alpha(alpha))
         for guard in guards:
             assert _assert_same_as_full_grid(S, guard) > 100
-        lit = TFMatrix(S.values, S.time_grid, S.freq_grid, S.params,
-                       "literal", S.log_scale)
-        _assert_same_as_full_grid(lit, GuardSpec(1, 2, None))
 
     # hand-built grids: ties between neighbors, exact zeros, inf and NaN
     rng = np.random.default_rng(3)
@@ -169,10 +171,9 @@ def test_candidate_detection_matches_full_grid():
     v[22, 7] = 0.5  # a dip next to a NaN
     v[8, 9] = 0.5  # a dip next to an inf ...
     v[8, 10] = np.inf  # ... across channels
-    for conv in ("literal", "physical"):
-        for guard in (GuardSpec(1, 0, None), GuardSpec(2, 3, 1e-4)):
-            _assert_same_as_full_grid(_matrix(v, conv), guard)
-            _assert_same_as_full_grid(_matrix(v[::-1], conv), guard)
+    for guard in (GuardSpec(1, 0, None), GuardSpec(2, 3, 1e-4)):
+        _assert_same_as_full_grid(_matrix(v), guard)
+        _assert_same_as_full_grid(_matrix(v[::-1]), guard)
     assert _assert_same_as_full_grid(_matrix(v), GuardSpec(1, 0, None)) > 0
 
 
